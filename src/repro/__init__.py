@@ -67,7 +67,7 @@ from .perf import DEFAULT_COST_MODEL, DeviceCostModel
 from .rtcore import RTDevice, owl_context_create
 from .streaming import RefitPolicy, StreamingRTDBSCAN, StreamUpdate
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "cluster",

@@ -93,14 +93,19 @@ class BVH:
     def depth(self) -> int:
         """Maximum root-to-leaf depth (computed lazily, cached in build_stats)."""
         if "depth" not in self.build_stats:
-            depth = 0
-            frontier = np.array([self.root], dtype=np.intp)
-            while frontier.size:
-                depth += 1
-                internal = frontier[~self.leaf_mask[frontier]]
-                frontier = np.concatenate([self.left[internal], self.right[internal]])
-            self.build_stats["depth"] = int(depth)
+            self.build_stats["depth"] = len(self.internal_levels()) + 1
         return self.build_stats["depth"]
+
+    def internal_levels(self) -> list[np.ndarray]:
+        """Internal node ids grouped by depth, root level first."""
+        levels = []
+        frontier = np.array([self.root], dtype=np.intp)
+        while frontier.size:
+            internal = frontier[~self.leaf_mask[frontier]]
+            if internal.size:
+                levels.append(internal)
+            frontier = self.children[internal].ravel()
+        return levels
 
     def leaf_primitives(self, node: int) -> np.ndarray:
         """Primitive ids stored in a leaf node."""

@@ -42,15 +42,14 @@ def refit(bvh: BVH, new_bounds: AABB) -> BVH:
     node_lower[leaf_ids] = np.minimum.reduceat(gathered_lower, starts, axis=0)
     node_upper[leaf_ids] = np.maximum.reduceat(gathered_upper, starts, axis=0)
 
-    # Propagate upwards by repeatedly tightening parents until a fixed point.
-    # Nodes were emitted in BFS order by the LBVH builder and pre-order by the
-    # SAH builder; in both layouts children have larger indices than their
-    # parent, so a single reverse sweep suffices.
-    internal_ids = np.flatnonzero(~bvh.leaf_mask)[::-1]
-    for i in internal_ids:
-        l, r = bvh.left[i], bvh.right[i]
-        node_lower[i] = np.minimum(node_lower[l], node_lower[r])
-        node_upper[i] = np.maximum(node_upper[l], node_upper[r])
+    # Propagate upwards one tree level at a time, deepest first: every child
+    # of a level-d node sits at level d+1, so its bounds are final before
+    # the parent's one vectorised min/max reads them.  min/max are exact, so
+    # the bounds are bit-identical to a per-node bottom-up sweep.
+    for level in reversed(bvh.internal_levels()):
+        l, r = bvh.left[level], bvh.right[level]
+        node_lower[level] = np.minimum(node_lower[l], node_lower[r])
+        node_upper[level] = np.maximum(node_upper[l], node_upper[r])
 
     return BVH(
         node_lower=node_lower,

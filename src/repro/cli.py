@@ -438,6 +438,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
           f"({s['points_evicted']} evicted)")
     print(f"  accel maintenance: {scene['num_refits']} refits, {scene['num_builds']} builds "
           f"({result.maintenance_seconds:.6f} simulated s)")
+    print(f"  stale-tree traversal: {scene['stale_traversal_s']:.3e} s since the last build "
+          f"(fresh-tree baseline {scene['baseline_ray_s']:.3e} s/ray)")
     print(f"  throughput: {result.updates_per_simulated_second:,.1f} updates/s, "
           f"{result.points_per_simulated_second:,.0f} points/s (simulated)")
     print(f"  simulated total: {s['total_simulated_seconds']:.6f} s, "

@@ -11,13 +11,16 @@ built for.  The maintainer must choose between
 * **rebuild** — pay the full per-primitive build cost and restore an
   optimally-partitioned tree.
 
-:class:`RefitPolicy` makes that call from the device cost model plus a churn
-bound: while the modelled refit time undercuts the modelled build time *and*
-the fraction of primitives that moved since the last build stays under
-``churn_rebuild_fraction``, refit wins.  The churn bound stands in for the
-traversal degradation the cost model cannot see directly (stale trees make
-ε-queries visit more nodes, which *is* charged honestly through the
-traversal counters — the policy merely bounds how bad it may get).
+:class:`RefitPolicy` makes that call from the device cost model, traversal
+included.  A refit saves ``build_time_s - refit_time_s`` of maintenance now,
+but every later ε-query on the stretched tree visits more nodes than it did
+on the fresh one.  The scene measures that excess from the charged launch
+counters (``stale_traversal_s``: traversal seconds above the fresh tree's
+per-ray baseline, summed since the last build), and ``auto`` rebuilds once
+it covers the saving.  This is the ski-rental rule: maintenance plus
+traversal stays within 2x of the best refit/rebuild schedule in hindsight.
+The churn bound (``churn_rebuild_fraction``) remains as a cap for trees
+that churn fast but are rarely queried.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ class RefitPolicy:
         benchmarks compare against).
     churn_rebuild_fraction:
         In ``auto`` mode, rebuild once more than this fraction of the
-        primitives changed since the structure was last built.
+        primitives changed since the structure was last built, whatever the
+        measured traversal penalty.
     """
 
     mode: str = "auto"
@@ -65,13 +69,17 @@ class RefitPolicy:
         churn_fraction: float,
         has_rt_cores: bool = True,
         structure_valid: bool = True,
+        stale_traversal_s: float = 0.0,
     ) -> str:
         """Return ``"refit"`` or ``"rebuild"`` for the pending update.
 
         ``churn_fraction`` is the fraction of primitives whose bounds changed
         since the last full build; ``structure_valid`` is False when no
         usable structure exists (first build, capacity growth), which forces
-        a rebuild regardless of mode.
+        a rebuild regardless of mode.  ``stale_traversal_s`` is the modelled
+        traversal time the refitted tree has cost above the fresh tree's
+        per-ray baseline since the last build; in ``auto`` mode a rebuild
+        fires once it reaches the build-minus-refit gap.
         """
         if not structure_valid:
             return "rebuild"
@@ -83,6 +91,8 @@ class RefitPolicy:
         refit_s = cost_model.refit_time_s(num_prims, unit=unit)
         build_s = cost_model.build_time_s(num_prims, unit=unit)
         if refit_s >= build_s:
+            return "rebuild"
+        if stale_traversal_s >= build_s - refit_s:
             return "rebuild"
         if churn_fraction > self.churn_rebuild_fraction:
             return "rebuild"

@@ -14,6 +14,12 @@ above the live window:
   *rebuild* (new LBVH/SAH tree over the slot buffer), as decided by the
   :class:`~repro.streaming.policy.RefitPolicy`.
 
+The scene also prices tree staleness for that policy.  Launches on a freshly
+built tree set a per-ray traversal baseline; launches on a refitted tree add
+whatever they cost above ``baseline × rays`` to ``stale_traversal_s``, which
+a rebuild resets.  Neither figure is snapshotted: a restore replays the
+window into a new scene, whose first commit is a rebuild.
+
 Capacity grows geometrically when the buffer fills; growth invalidates the
 tree topology and therefore forces a rebuild.  All query launches run
 through the regular :class:`~repro.rtcore.pipeline.ScenePipeline`, so node
@@ -88,6 +94,13 @@ class StreamingScene:
         self.pipeline: ScenePipeline | None = None
         self._needs_rebuild = True
         self._churned_since_build = 0
+        # Traversal pricing: launch seconds and rays on the freshly built
+        # tree (the per-ray baseline), and the excess over that baseline the
+        # refitted tree has been charged since the last build.
+        self._fresh = False
+        self._fresh_seconds = 0.0
+        self._fresh_rays = 0
+        self.stale_traversal_s = 0.0
 
         #: maintenance statistics (exposed in benchmark reports).
         self.num_builds = 0
@@ -186,6 +199,7 @@ class StreamingScene:
             churn_fraction=self.churn_fraction,
             has_rt_cores=self.device.has_rt_cores,
             structure_valid=self.pipeline is not None and not self._needs_rebuild,
+            stale_traversal_s=self.stale_traversal_s,
         )
         if action == "rebuild":
             seconds = self._rebuild()
@@ -196,6 +210,7 @@ class StreamingScene:
             # until a rebuild restores tree quality.
             assert self.pipeline is not None
             seconds = self.pipeline.refit_accel()  # charges the device itself
+            self._fresh = False
             counts = OpCounts(bvh_refit_prims=self.capacity, kernel_launches=1)
             self.num_refits += 1
             self.refit_prims_total += self.capacity
@@ -221,9 +236,29 @@ class StreamingScene:
         seconds = self.pipeline.build_accel()
         self._needs_rebuild = False
         self._churned_since_build = 0
+        self._fresh = True
+        self._fresh_seconds = 0.0
+        self._fresh_rays = 0
+        self.stale_traversal_s = 0.0
         self.num_builds += 1
         self.build_prims_total += self.capacity
         return seconds
+
+    @property
+    def baseline_ray_s(self) -> float:
+        """Traversal seconds per ray on the freshly built tree (0 until seen)."""
+        return self._fresh_seconds / self._fresh_rays if self._fresh_rays else 0.0
+
+    def _price_launch(self, stats: LaunchStats) -> None:
+        """Fold one launch's traversal cost into the staleness accounting."""
+        launch_s = stats.counts.kernel_launches * self.device.cost_model.kernel_launch_ns * 1e-9
+        traversal_s = stats.simulated_seconds - launch_s
+        if self._fresh:
+            self._fresh_seconds += traversal_s
+            self._fresh_rays += stats.num_rays
+        elif self._fresh_rays:
+            excess = traversal_s - self.baseline_ray_s * stats.num_rays
+            self.stale_traversal_s += max(excess, 0.0)
 
     # ------------------------------------------------------------------ #
     def query_csr(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
@@ -267,7 +302,9 @@ class StreamingScene:
                 }
             },
         )
-        return self.pipeline.launch_csr_queries(qpts, programs)
+        indptr, indices, stats = self.pipeline.launch_csr_queries(qpts, programs)
+        self._price_launch(stats)
+        return indptr, indices, stats
 
     def query_pairs(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
         """ε-rays from the given (active) slots against the whole scene.
@@ -303,6 +340,8 @@ class StreamingScene:
             "build_prims_total": self.build_prims_total,
             "refit_prims_total": self.refit_prims_total,
             "churn_fraction": self.churn_fraction,
+            "stale_traversal_s": self.stale_traversal_s,
+            "baseline_ray_s": self.baseline_ray_s,
         }
 
 

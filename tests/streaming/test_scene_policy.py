@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bvh.refit import refit
 from repro.dbscan.disjoint_set import ParallelDisjointSet
+from repro.geometry.aabb import AABB
 from repro.perf.cost_model import DEFAULT_COST_MODEL, OpCounts
 from repro.rtcore.device import RTDevice
 from repro.rtcore.owl import owl_context_create
@@ -77,6 +79,69 @@ class TestRefitPolicy:
             == "rebuild"
         )
 
+    def test_stale_traversal_rebuilds_at_the_build_refit_gap(self):
+        policy = RefitPolicy(mode="auto", churn_rebuild_fraction=1.0)
+        gap = DEFAULT_COST_MODEL.build_time_s(1000) - DEFAULT_COST_MODEL.refit_time_s(1000)
+        kwargs = dict(cost_model=DEFAULT_COST_MODEL, num_prims=1000, churn_fraction=0.1)
+        assert policy.choose(**kwargs) == "refit"
+        assert policy.choose(**kwargs, stale_traversal_s=0.999 * gap) == "refit"
+        assert policy.choose(**kwargs, stale_traversal_s=gap) == "rebuild"
+        assert policy.choose(**kwargs, stale_traversal_s=2 * gap) == "rebuild"
+        # The fixed modes ignore the traversal penalty.
+        for mode in ("refit", "rebuild"):
+            assert RefitPolicy(mode=mode).choose(**kwargs, stale_traversal_s=2 * gap) == mode
+
+
+def _per_node_refit_bounds(bvh, lower, upper):
+    """Reference refit: per-leaf reduction, then one node at a time bottom-up."""
+    node_lower = bvh.node_lower.copy()
+    node_upper = bvh.node_upper.copy()
+    for i in np.flatnonzero(bvh.leaf_mask):
+        prims = bvh.prim_indices[bvh.prim_start[i] : bvh.prim_start[i] + bvh.prim_count[i]]
+        node_lower[i] = lower[prims].min(axis=0)
+        node_upper[i] = upper[prims].max(axis=0)
+    for i in np.flatnonzero(~bvh.leaf_mask)[::-1]:
+        node_lower[i] = np.minimum(node_lower[bvh.left[i]], node_lower[bvh.right[i]])
+        node_upper[i] = np.maximum(node_upper[bvh.left[i]], node_upper[bvh.right[i]])
+    return node_lower, node_upper
+
+
+class TestLevelwiseRefit:
+    @pytest.mark.parametrize("builder", ["lbvh", "sah"])
+    def test_matches_per_node_loop_after_park_and_recycle(self, builder):
+        rng = np.random.default_rng(3)
+        scene = StreamingScene(0.2, RTDevice(), builder=builder, initial_capacity=512)
+        slots = scene.allocate(500)
+        scene.set_points(slots, rng.uniform(0, 4, size=(500, 3)))
+        scene.commit(RefitPolicy())
+        built = scene.pipeline.bvh
+        scene.deallocate(slots[::3])
+        again = scene.allocate(100)
+        scene.set_points(again, rng.uniform(-2, 6, size=(100, 3)))
+        action, _, _ = scene.commit(RefitPolicy(mode="refit"))
+        assert action == "refit"
+
+        got = scene.pipeline.bvh
+        bounds = scene.pipeline.geometry.bounds()
+        ref_lower, ref_upper = _per_node_refit_bounds(built, bounds.lower, bounds.upper)
+        np.testing.assert_array_equal(got.node_lower, ref_lower)
+        np.testing.assert_array_equal(got.node_upper, ref_upper)
+        # Refit keeps the topology and only moves bounds.
+        np.testing.assert_array_equal(got.left, built.left)
+        np.testing.assert_array_equal(got.prim_indices, built.prim_indices)
+
+    def test_single_leaf_tree(self):
+        scene = StreamingScene(0.2, RTDevice(), initial_capacity=2)
+        slots = scene.allocate(2)
+        scene.set_points(slots, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        scene.commit(RefitPolicy())
+        bvh = scene.pipeline.bvh
+        moved = AABB(np.full((2, 3), -1.0), np.full((2, 3), 3.0))
+        out = refit(bvh, moved)
+        assert np.array_equal(out.node_lower[0], [-1.0, -1.0, -1.0])
+        assert np.array_equal(out.node_upper[0], [3.0, 3.0, 3.0])
+
+
 
 class TestStreamingScene:
     def _scene(self, **kwargs) -> StreamingScene:
@@ -142,6 +207,36 @@ class TestStreamingScene:
         q, p, stats = scene.query_pairs(np.empty(0, dtype=np.intp))
         assert q.size == 0 and p.size == 0
         assert stats.counts.kernel_launches == 0
+
+    def test_stale_traversal_accumulates_until_a_rebuild(self):
+        rng = np.random.default_rng(5)
+        scene = StreamingScene(0.15, RTDevice(), initial_capacity=2048)
+        policy = RefitPolicy(mode="auto", churn_rebuild_fraction=1.0)
+        slots = scene.allocate(2000)
+        scene.set_points(slots, rng.uniform(0, 4, size=(2000, 3)))
+        assert scene.commit(policy)[0] == "rebuild"
+        scene.query_csr(slots)
+        summary = scene.summary()
+        assert summary["baseline_ray_s"] > 0.0
+        assert summary["stale_traversal_s"] == 0.0
+
+        # Recycle a quarter of the slots at new positions: the refitted
+        # tree's leaves now straddle the domain and each query costs more.
+        scene.deallocate(slots[::4])
+        moved = scene.allocate(500)
+        scene.set_points(moved, rng.uniform(0, 4, size=(500, 3)))
+        assert scene.commit(policy)[0] == "refit"
+        live = scene.active_slots()
+        cm = scene.device.cost_model
+        gap = cm.build_time_s(scene.capacity) - cm.refit_time_s(scene.capacity)
+        for _ in range(100):
+            scene.query_csr(live)
+            if scene.stale_traversal_s >= gap:
+                break
+        assert scene.stale_traversal_s >= gap
+        assert scene.churn_fraction < 1.0
+        assert scene.commit(policy)[0] == "rebuild"
+        assert scene.stale_traversal_s == 0.0
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -273,3 +273,74 @@ class TestLifecycle:
         assert snap["num_noise"] == result.num_noise
         assert snap["released"] is False
         assert snap["summary"]["num_updates"] == 3
+
+
+# A filled 6k drift-blobs window taking 300-point slides: big enough that a
+# refitted tree's extra node visits reach the build-minus-refit gap within a
+# few updates.
+_WINDOW, _SLIDE, _SLIDES, _EPS, _MIN_PTS = 6000, 300, 8, 0.11, 10
+
+
+def _drift_window_run(policy: RefitPolicy, **engine_kwargs):
+    """Fill the window in one update, then slide it; per-slide records."""
+    chunks = list(drift_blob_stream(_WINDOW // _SLIDE + _SLIDES, _SLIDE, seed=4))
+    engine = StreamingRTDBSCAN(
+        eps=_EPS, min_pts=_MIN_PTS, window=_WINDOW, policy=policy, **engine_kwargs
+    )
+    engine.update(np.vstack(chunks[: _WINDOW // _SLIDE]))
+    updates = [engine.update(chunk) for chunk in chunks[_WINDOW // _SLIDE :]]
+    return {
+        "actions": [u.accel_action for u in updates],
+        "sims": [u.report.total_simulated_seconds for u in updates],
+        "labels": [u.labels for u in updates],
+        "total": engine.summary()["total_simulated_seconds"],
+        "builds": engine.scene.num_builds,
+    }
+
+
+@pytest.fixture(scope="module")
+def mode_runs():
+    return {
+        "auto": _drift_window_run(RefitPolicy(mode="auto")),
+        # auto with the churn cap out of the way: only traversal pricing can
+        # trigger a rebuild.
+        "auto-priced": _drift_window_run(RefitPolicy(churn_rebuild_fraction=1.0)),
+        "rebuild": _drift_window_run(RefitPolicy(mode="rebuild")),
+        "refit": _drift_window_run(RefitPolicy(mode="refit")),
+    }
+
+
+class TestTraversalPricedPolicy:
+    def test_auto_is_no_dearer_than_either_fixed_mode(self, mode_runs):
+        for name in ("auto", "auto-priced"):
+            assert mode_runs[name]["total"] <= mode_runs["rebuild"]["total"]
+            assert mode_runs[name]["total"] < mode_runs["refit"]["total"]
+
+    def test_traversal_penalty_alone_triggers_rebuilds(self, mode_runs):
+        assert "rebuild" in mode_runs["auto-priced"]["actions"]
+        # The slot buffer never grows after the fill, so no rebuild above
+        # was forced by capacity.
+        assert mode_runs["refit"]["builds"] == 1
+
+    def test_labels_identical_across_modes(self, mode_runs):
+        ref = mode_runs["rebuild"]["labels"]
+        for name in ("auto", "auto-priced", "refit"):
+            for got, want in zip(mode_runs[name]["labels"], ref):
+                np.testing.assert_array_equal(got, want)
+
+    def test_decisions_identical_across_kernel_tiers(self, mode_runs):
+        """The rebuild decision reads exact op counters, so numpy and the
+        native tier at any thread count take the same actions."""
+        from repro.native import dispatch
+
+        policy = RefitPolicy(churn_rebuild_fraction=1.0)
+        tiers = [dict(native=False)]
+        if dispatch.available():
+            tiers += [dict(native=True, native_threads=1), dict(native=True, native_threads=2)]
+        ref = mode_runs["auto-priced"]
+        for tier in tiers:
+            run = _drift_window_run(policy, **tier)
+            assert run["actions"] == ref["actions"], tier
+            assert run["sims"] == ref["sims"], tier
+            for got, want in zip(run["labels"], ref["labels"]):
+                np.testing.assert_array_equal(got, want)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,12 @@ import repro
 class TestPublicAPI:
     def test_version_string(self):
         assert repro.__version__.count(".") == 2
+        # The package metadata and the runtime version must agree (a regex,
+        # not tomllib, which py3.10 lacks).
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        match = re.search(r'^version\s*=\s*"([^"]+)"', pyproject.read_text(), re.MULTILINE)
+        assert match is not None
+        assert repro.__version__ == match.group(1)
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
