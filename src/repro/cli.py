@@ -186,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="shard into N spatial tiles with eps-halo ghost zones "
                                 "(upgrades rt-dbscan to rt-dbscan-tiled)")
     p_cluster.add_argument("--workers", type=int, default=None,
-                           help="tile-fit parallelism for the ParallelMap executor "
-                                "(default serial)")
+                           help="run tile fits on N threads (default serial)")
     p_cluster.add_argument("--native", choices=("auto", "on", "off"), default="auto",
                            help="kernel tier for algorithms tagged [native]: compiled "
                                 "C hot loops (on), pure numpy (off), or the "

@@ -4,52 +4,42 @@ Every scale-out seam in this package — tile fits in
 :class:`~repro.partition.tiled.TiledRTDBSCAN`, benchmark configurations in
 :func:`repro.bench.runner.run_sweep` — reduces to "map a pure function over
 independent items and keep the results in input order".  :class:`ParallelMap`
-is that one abstraction with three interchangeable strategies:
+is that one abstraction with two interchangeable strategies:
 
-* ``"serial"``  — a plain loop in the calling thread.  The default
+* ``"serial"`` — a plain loop in the calling thread.  The default
   everywhere, because it keeps wall-clock timings deterministic and adds
   zero overhead for the common single-worker case.
-* ``"thread"``  — a ``ThreadPoolExecutor``.  The right choice for the
-  NumPy-heavy workloads here (the big array kernels release the GIL) and the
-  only concurrent mode that works with closures.
-* ``"process"`` — a ``ProcessPoolExecutor`` for truly CPU-bound Python.
-  The mapped function and its items must be picklable (module-level
-  functions over plain data), which the tile worker in
-  :mod:`repro.partition.tiled` is designed to satisfy.
+* ``"thread"`` — a ``ThreadPoolExecutor``.  The heavy work here runs with
+  the GIL released: the compiled kernels are cffi calls, which drop it, and
+  the big NumPy array operations drop it too.
+
+There is deliberately no process strategy.  The native tier's OpenMP
+runtime (libgomp) is not fork-safe: once a parallel region has run with
+two or more threads, a forked worker deadlocks inside libgomp.  Threads
+also share the tile payloads and the kernel dispatcher's override state
+with the caller, so nothing has to be pickled or shipped.
 
 Results are always returned as a list in the order of the input items,
 regardless of completion order, so callers' outputs are independent of the
 execution strategy.  Exceptions raised by the mapped function propagate to
-the caller in all modes.
+the caller in both modes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
-from typing import Any, TypeVar
+from collections.abc import Callable, Iterable
+from typing import TypeVar
 
-import numpy as np
-
-__all__ = ["ParallelMap", "as_parallel_map", "SharedNDArray", "SharedArrayPool", "as_ndarray"]
+__all__ = ["ParallelMap", "as_parallel_map"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-_MODES = ("serial", "thread", "process")
-
-
-class _StarCall:
-    """Picklable argument-unpacking wrapper (a lambda would break processes)."""
-
-    def __init__(self, fn: Callable[..., Any]) -> None:
-        self.fn = fn
-
-    def __call__(self, args: Sequence[Any]) -> Any:
-        return self.fn(*args)
+_MODES = ("serial", "thread")
 
 
 class ParallelMap:
-    """Ordered map over independent items: serial, thread or process backed.
+    """Ordered map over independent items: serial or thread backed.
 
     Parameters
     ----------
@@ -57,8 +47,8 @@ class ParallelMap:
         Degree of parallelism.  ``None``, ``0`` and ``1`` all mean "no
         concurrency" and force serial execution regardless of ``mode``.
     mode:
-        ``"serial"``, ``"thread"`` or ``"process"``.  With ``workers > 1``
-        and the default ``mode=None`` the thread strategy is used.
+        ``"serial"`` or ``"thread"``.  With ``workers > 1`` and the default
+        ``mode=None`` the thread strategy is used.
 
     Examples
     --------
@@ -91,153 +81,13 @@ class ParallelMap:
         items = list(items)
         if self.is_serial or len(items) <= 1:
             return [fn(item) for item in items]
-        if self.mode == "thread":
-            from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                return list(pool.map(fn, items))
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
             return list(pool.map(fn, items))
-
-    def starmap(self, fn: Callable[..., _R], items: Iterable[Sequence[Any]]) -> list[_R]:
-        """Like :meth:`map` but unpacks each item as positional arguments.
-
-        Works in every mode: the unpacking wrapper is a picklable object,
-        so process pools accept it whenever ``fn`` itself is picklable.
-        """
-        return self.map(_StarCall(fn), items)
 
     def __repr__(self) -> str:
         return f"ParallelMap(workers={self.workers}, mode={self.mode!r})"
-
-
-class SharedNDArray:
-    """A picklable handle to an ndarray stored in POSIX shared memory.
-
-    Pickling a :class:`SharedNDArray` serialises only the segment name,
-    dtype, shape and byte offset — a few dozen bytes — instead of the array
-    payload, so process pools receive big inputs (tile point sets) without
-    copying them through the pickle pipe.  Workers attach lazily on first
-    :meth:`asarray` call; the returned view is marked read-only because the
-    memory is shared between processes.
-
-    Instances are created by :class:`SharedArrayPool`, which owns the backing
-    segment and unlinks it when the fan-out completes.
-    """
-
-    def __init__(self, shm_name: str, dtype: str, shape: tuple, offset: int) -> None:
-        self.shm_name = shm_name
-        self.dtype = dtype
-        self.shape = tuple(shape)
-        self.offset = int(offset)
-        self._shm = None
-        self._view: np.ndarray | None = None
-
-    def __getstate__(self) -> dict:
-        return {
-            "shm_name": self.shm_name, "dtype": self.dtype,
-            "shape": self.shape, "offset": self.offset,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._shm = None
-        self._view = None
-
-    def asarray(self) -> np.ndarray:
-        """Attach (once) and return the read-only ndarray view."""
-        if self._view is None:
-            import multiprocessing as mp
-            from multiprocessing import shared_memory
-
-            # The creator owns the segment's lifetime, so this attach must
-            # not enrol it with a resource tracker that would try to clean
-            # it up.  Python 3.13+ supports that directly; older versions
-            # need care per start method: under *fork* the worker shares the
-            # creator's tracker (whose registry is a set, so the attach is
-            # deduplicated and nothing must be unregistered — doing so would
-            # strip the creator's own entry); under *spawn* the worker has
-            # its own tracker and the attach must be unregistered there.
-            try:
-                self._shm = shared_memory.SharedMemory(
-                    name=self.shm_name, create=False, track=False
-                )
-            except TypeError:  # pragma: no cover - Python < 3.13
-                self._shm = shared_memory.SharedMemory(name=self.shm_name, create=False)
-                if (
-                    mp.parent_process() is not None
-                    and mp.get_start_method(allow_none=True) != "fork"
-                ):
-                    try:
-                        from multiprocessing import resource_tracker
-
-                        resource_tracker.unregister(self._shm._name, "shared_memory")
-                    except Exception:
-                        pass
-            view = np.ndarray(
-                self.shape, dtype=np.dtype(self.dtype),
-                buffer=self._shm.buf, offset=self.offset,
-            )
-            view.flags.writeable = False
-            self._view = view
-        return self._view
-
-
-class SharedArrayPool:
-    """One shared-memory segment holding many arrays, for process fan-outs.
-
-    ``share()`` copies an array into the segment once and returns the
-    zero-pickle-cost :class:`SharedNDArray` handle; ``close()`` unlinks the
-    segment after the parallel map has consumed the results.  Use as a
-    context manager around the fan-out.
-    """
-
-    def __init__(self, total_bytes: int) -> None:
-        from multiprocessing import shared_memory
-
-        self._shm = shared_memory.SharedMemory(create=True, size=max(1, int(total_bytes)))
-        self._cursor = 0
-
-    @classmethod
-    def for_arrays(cls, arrays: Iterable[np.ndarray]) -> "SharedArrayPool":
-        """A pool sized (with alignment slack) for the given arrays."""
-        total = sum(int(a.nbytes) + 64 for a in arrays)
-        return cls(total)
-
-    def share(self, array: np.ndarray) -> SharedNDArray:
-        """Copy ``array`` into the segment; returns the picklable handle."""
-        array = np.ascontiguousarray(array)
-        offset = (self._cursor + 63) & ~63  # 64-byte alignment
-        end = offset + array.nbytes
-        if end > self._shm.size:
-            raise ValueError("SharedArrayPool capacity exceeded")
-        dest = np.ndarray(array.shape, dtype=array.dtype, buffer=self._shm.buf, offset=offset)
-        dest[...] = array
-        self._cursor = end
-        return SharedNDArray(self._shm.name, array.dtype.str, array.shape, offset)
-
-    def close(self) -> None:
-        """Release and unlink the backing segment."""
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-
-    def __enter__(self) -> "SharedArrayPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def as_ndarray(value: np.ndarray | SharedNDArray) -> np.ndarray:
-    """Unwrap a :class:`SharedNDArray` handle; plain arrays pass through."""
-    if isinstance(value, SharedNDArray):
-        return value.asarray()
-    return value
 
 
 def as_parallel_map(value: ParallelMap | int | None, *, mode: str | None = None) -> ParallelMap:

@@ -22,7 +22,8 @@ from repro.bench.experiments import calibrate_eps
 from repro.data.registry import generate
 from repro.dbscan.rt_dbscan import RTDBSCAN
 from repro.native import dispatch
-from repro.partition.tiled import TiledRTDBSCAN
+from repro.partition import tiled as tiled_module
+from repro.partition.tiled import TiledRTDBSCAN, run_tile
 from repro.streaming.engine import StreamingRTDBSCAN
 
 #: Exact native-capable backends: valid in every pipeline (incl. tiled).
@@ -85,15 +86,27 @@ class TestTiledParity:
         assert fits[True].extra["kernel_tier"] == "native"
         assert_results_identical(fits[False], fits[True])
 
-    def test_process_executor_carries_override(self, dataset):
-        """TileJob.native must reach process-pool workers (fresh interpreters)."""
+    def test_thread_executor_carries_override(self, dataset, monkeypatch):
+        """The fit-level override reaches tile threads after multi-thread
+        OpenMP regions have run (a forked process pool deadlocked here)."""
         _, pts, eps = dataset
+        seen = []
+
+        def spy(job):
+            seen.append((dispatch.active_tier(), dispatch.requested_threads()))
+            return run_tile(job)
+
+        monkeypatch.setattr(tiled_module, "run_tile", spy)
         fits = {}
         for native in (False, True):
+            seen.clear()
             fits[native] = TiledRTDBSCAN(
                 eps=eps, min_pts=MIN_PTS, backend="grid", tiles=4,
-                workers=2, executor_mode="process", native=native,
+                workers=2, native_threads=2, native=native,
             ).fit(pts)
+            tier = "native" if native else "numpy"
+            assert fits[native].extra["kernel_tier"] == tier
+            assert seen and set(seen) == {(tier, 2)}
         assert_results_identical(fits[False], fits[True])
 
 

@@ -55,14 +55,6 @@ class TestLabelEquivalence:
         threaded = TiledRTDBSCAN(eps=0.3, min_pts=5, tiles=4, workers=4).fit(blob_points)
         _assert_same_result(threaded, ref)
 
-    def test_process_executor_matches(self, blob_points):
-        ref = TiledRTDBSCAN(eps=0.3, min_pts=5, backend="kdtree", tiles=4).fit(blob_points)
-        proc = TiledRTDBSCAN(
-            eps=0.3, min_pts=5, backend="kdtree", tiles=4, workers=2,
-            executor_mode="process",
-        ).fit(blob_points)
-        _assert_same_result(proc, ref)
-
     def test_explicit_grid(self, blob_points):
         ref = RTDBSCAN(eps=0.3, min_pts=5).fit(blob_points)
         tiled = TiledRTDBSCAN(eps=0.3, min_pts=5, grid=(3, 2, 1)).fit(blob_points)
@@ -211,6 +203,9 @@ class TestApiIntegration:
             TiledRTDBSCAN(eps=0.3, min_pts=5, tiles="many")
         with pytest.raises(ValueError):
             TiledRTDBSCAN(eps=0.3, min_pts=5, tiles=0)
+        # A removed executor mode fails at construction, not at fit().
+        with pytest.raises(ValueError, match="threads"):
+            TiledRTDBSCAN(eps=0.3, min_pts=5, executor_mode="process")
 
 
 class TestSweepParallelism:
