@@ -1,4 +1,4 @@
-"""Microbenchmarks for the four compiled hot-loop kernels.
+"""Microbenchmarks for the compiled hot-loop kernels.
 
 Unlike the paper-reproduction benchmarks in this directory (which model the
 paper's *simulated* GPU timings), these measure real wall-clock on the host:
@@ -72,6 +72,21 @@ class TestKernelMicrobench:
         """Blocked all-pairs distance scan (quarter scale: O(n^2))."""
         pts, eps = workload
         _timed_fit(benchmark, "brute", pts[: max(N // 4, 500)], eps, native)
+
+    def test_kdtree_build(self, benchmark, workload, native):
+        """Median-split kd-tree build over the ε-sphere boxes (kdtree backend)."""
+        from repro.bvh.kdtree import build_kdtree, build_kdtree_native
+        from repro.geometry.aabb import AABB
+        from repro.geometry.transforms import ensure_points3d
+
+        pts, eps = workload
+        p3 = ensure_points3d(pts)
+        bounds = AABB(p3 - eps, p3 + eps)
+        build = build_kdtree_native if native else build_kdtree
+        bvh = benchmark.pedantic(
+            lambda: build(bounds, leaf_size=16), rounds=3, iterations=1
+        )
+        assert bvh is not None
 
     def test_union_find_formation(self, benchmark, workload, native):
         """Cluster-formation union pass, isolated via a precomputed CSR."""

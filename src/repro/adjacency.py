@@ -31,6 +31,8 @@ __all__ = [
     "csr_row_ids",
     "expand_ranges",
     "concat_csr",
+    "hinted_indptr",
+    "check_row_counts",
 ]
 
 
@@ -105,3 +107,49 @@ def concat_csr(
         + [np.asarray([offsets[-1]], dtype=np.int64)]
     )
     return merged_ptr, np.concatenate(indexes)
+
+
+def _row_counts_hint(row_counts, num_rows: int) -> np.ndarray:
+    hint = np.asarray(row_counts)
+    if hint.shape != (num_rows,) or hint.dtype.kind not in "iu":
+        raise ValueError(
+            f"row_counts must hold one integer per query row ({num_rows}), "
+            f"got shape {hint.shape} and dtype {hint.dtype}"
+        )
+    if num_rows and hint.min() < 0:
+        raise ValueError("row_counts must be non-negative")
+    return hint
+
+
+def hinted_indptr(row_counts, num_rows: int) -> np.ndarray:
+    """CSR ``indptr`` sized from per-row hit counts the caller already holds.
+
+    This is how a stage-2 launch reuses stage 1's neighbour counts: with the
+    row offsets known up front, a native kernel fills the adjacency in one
+    traversal instead of a count pass plus a fill pass.  Raises
+    ``ValueError`` unless ``row_counts`` is one non-negative integer per row.
+    """
+    hint = _row_counts_hint(row_counts, num_rows)
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(hint, out=indptr[1:])
+    return indptr
+
+
+def check_row_counts(row_counts, actual: np.ndarray) -> None:
+    """Raise ``ValueError`` when a row-count hint disagrees with the traversal.
+
+    ``actual`` is the per-row hit count the launch itself found.  A ``None``
+    hint always passes.  The error names the first mismatching row, so a
+    caller passing counts taken under another convention (say, with the self
+    hit) fails loudly instead of getting a silently truncated adjacency.
+    """
+    if row_counts is None:
+        return
+    hint = _row_counts_hint(row_counts, actual.shape[0])
+    bad = np.flatnonzero(hint != actual)
+    if bad.size:
+        row = int(bad[0])
+        raise ValueError(
+            f"row_counts hint disagrees with the traversal at row {row}: "
+            f"hinted {int(hint[row])}, found {int(actual[row])}"
+        )

@@ -30,6 +30,11 @@ from ..perf.timing import ExecutionReport
 
 __all__ = ["DBSCANParams", "DBSCANResult", "UNCLASSIFIED", "NOISE"]
 
+#: Algorithms whose stored neighbour counts are the exact self-excluded
+#: ε-counts whenever their backend is exact.  Triangle mode is not one: its
+#: tessellated spheres miss some neighbours near the sphere boundary.
+_EXACT_COUNT_ALGORITHMS = frozenset(("rt-dbscan", "rt-dbscan-tiled"))
+
 #: Internal label for points not yet assigned to any cluster.
 UNCLASSIFIED = -2
 #: Label of noise points in the output.
@@ -122,6 +127,13 @@ class DBSCANResult:
         pass every backend uses (no pair arrays are materialised), so the
         result is bit-identical to a fresh ``RTDBSCAN(eps, min_pts).fit``.
 
+        When the stored counts came from ``rt-dbscan`` or ``rt-dbscan-tiled``
+        on an exact backend they are the self-excluded ε-counts at this ε —
+        exactly the CSR row lengths — so they are passed as the launch's
+        ``row_counts`` hint and the native tier traverses once.  Counts from
+        an approximate backend or from triangle mode are not the exact rows
+        and are not passed.
+
         Requires ``neighbor_counts`` and ``points`` (kept by default via
         ``keep_neighbor_counts=True``).
         """
@@ -135,12 +147,21 @@ class DBSCANResult:
         params = DBSCANParams(eps=self.params.eps, min_pts=min_pts)
         core_mask = self.neighbor_counts >= params.min_pts
 
+        from ..api.registry import get_backend
         from ..neighbors.backend import KDTreeNeighborBackend
         from .formation import form_clusters_csr
 
+        source = self.extra.get("backend")
+        exact = (
+            self.algorithm in _EXACT_COUNT_ALGORITHMS
+            and source is not None
+            and get_backend(source).exact
+        )
         backend = KDTreeNeighborBackend(self.points, params.eps)
         try:
-            indptr, indices, _ = backend.neighbor_csr()
+            indptr, indices, _ = backend.neighbor_csr(
+                row_counts=self.neighbor_counts if exact else None
+            )
         finally:
             backend.release()
         formation = form_clusters_csr(indptr, indices, core_mask)
@@ -152,7 +173,7 @@ class DBSCANResult:
             report=None,
             neighbor_counts=self.neighbor_counts,
             points=self.points,
-            extra={"refit_from_min_pts": self.params.min_pts},
+            extra={"refit_from_min_pts": self.params.min_pts, "backend": source},
         )
 
     def summary(self) -> dict:

@@ -13,6 +13,12 @@ the simulated RT device):
    are unioned, border points are attached atomically to one neighbouring
    core cluster (see :mod:`repro.dbscan.formation`).
 
+The device cost model charges exactly these two launches, as the paper
+does.  On the host each launch is one traversal: stage 2 hands stage 1's
+neighbour counts to ``neighbor_csr(row_counts=...)``, so the native kernels
+size the CSR from them and fill it directly instead of counting again (the
+hint is checked against the fill, so a disagreement raises).
+
 The neighbour search is resolved from the backend registry
 (:mod:`repro.neighbors.backend`): ``backend="rt"`` is the paper's RT-core
 pipeline, while ``"grid"``, ``"kdtree"`` and ``"brute"`` run the identical
@@ -211,13 +217,17 @@ class RTDBSCAN(ClustererMixin):
             # ---------------------------------------------------------- #
             # Stage 2 — cluster formation with union-find (lines 7-18).
             # The adjacency is recomputed as a CSR launch (the redundant
-            # work the paper accepts) and consumed directly — no pair
-            # arrays are materialised (triangle mode already holds its
-            # deduplicated adjacency from stage 1).
+            # work the paper accepts, and charged as such) and consumed
+            # directly — no pair arrays are materialised (triangle mode
+            # already holds its deduplicated adjacency from stage 1).  The
+            # stage-1 counts are the CSR row lengths, so the launch sizes
+            # its CSR from them and traverses once on the host.
             # ---------------------------------------------------------- #
             with timer.phase("cluster_formation") as counts:
                 if not self.triangle_mode:
-                    indptr, indices, stats2 = finder.neighbor_csr()
+                    indptr, indices, stats2 = finder.neighbor_csr(
+                        row_counts=neighbor_counts
+                    )
                     counts.merge(stats2.counts)
 
                 formation = form_clusters_csr(indptr, indices, core_mask)

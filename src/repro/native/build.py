@@ -83,6 +83,15 @@ void repro_confirm_pairs(
     int64_t *row_counts,
     int64_t *indices);
 
+int64_t repro_kdtree_build(
+    const double *centroids, const double *prim_lo, const double *prim_hi,
+    int64_t n, int64_t leaf_size, int64_t num_nodes,
+    int64_t *perm,
+    double *node_lo, double *node_hi,
+    int64_t *left, int64_t *right,
+    int64_t *prim_start, int64_t *prim_count,
+    int64_t *stats_out);
+
 int64_t repro_uf_union_edges(
     int64_t *parent, int64_t n,
     const int64_t *a, const int64_t *b, int64_t ne);

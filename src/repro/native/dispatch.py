@@ -1,9 +1,9 @@
 """Native-tier dispatch: the single decision point for numpy vs C kernels.
 
-Call sites (the grid/brute/kdtree neighbour backends, the approx confirm
-pass, the RT sphere launch, the batched union-find) ask :func:`kernels` for a
-:class:`NativeKernels` handle and fall back to their numpy path when it
-returns ``None``.  The answer is governed by, in priority order:
+Call sites (the grid/brute/kdtree neighbour backends, the kd-tree build,
+the approx confirm pass, the RT sphere launch, the batched union-find) ask
+:func:`kernels` for a :class:`NativeKernels` handle and fall back to their
+numpy path when it returns ``None``.  The answer is governed by, in priority order:
 
 1. the :func:`override` context manager (the ``native=`` field on
    ``ClustererSpec`` / ``RTDBSCAN`` pushes one around a fit),
@@ -65,6 +65,7 @@ KERNEL_SLOTS = {
     "grid_scan": "neighbors/backend.py (grid stencil gather)",
     "brute_block": "neighbors/brute.py (blocked confirm sweep)",
     "bvh_sphere": "rtcore/pipeline.py + neighbors/backend.py (rt + kdtree)",
+    "kdtree_build": "bvh/kdtree.py (median-split kd-tree build, serial)",
     "confirm_pairs": "neighbors/approx.py (lsh exact-distance confirm)",
     "uf_union_edges": "dbscan/disjoint_set.py (batched union-find, serial)",
 }
@@ -316,6 +317,9 @@ class NativeKernels:
     def _f64(self, arr: np.ndarray):
         return self.ffi.from_buffer("double[]", arr)
 
+    def _f64w(self, arr: np.ndarray):
+        return self.ffi.from_buffer("double[]", arr, require_writable=True)
+
     def _i64(self, arr: np.ndarray):
         return self.ffi.from_buffer("int64_t[]", arr)
 
@@ -485,6 +489,55 @@ class NativeKernels:
             self.ffi.NULL if stats is None else self._i64w(stats),
         )
         return True
+
+    # -- kd-tree build ---------------------------------------------------- #
+    def kdtree_build(
+        self,
+        centroids: np.ndarray,
+        prim_lower: np.ndarray,
+        prim_upper: np.ndarray,
+        leaf_size: int,
+        num_nodes: int,
+    ) -> tuple[dict, int, int] | None:
+        """Median-split kd-tree into exactly ``num_nodes`` preallocated nodes.
+
+        Returns ``(arrays, levels, num_leaves)`` — ``arrays`` holds the
+        ``BVH`` node fields and ``prim_indices`` — or ``None`` (fallback).
+        """
+        if not all(_is_c_f64(a) for a in (centroids, prim_lower, prim_upper)):
+            return None
+        n = centroids.shape[0]
+        if not centroids.shape == prim_lower.shape == prim_upper.shape == (n, 3):
+            return None
+        arrays = {
+            "node_lower": np.empty((num_nodes, 3), dtype=np.float64),
+            "node_upper": np.empty((num_nodes, 3), dtype=np.float64),
+            "left": np.empty(num_nodes, dtype=np.intp),
+            "right": np.empty(num_nodes, dtype=np.intp),
+            "prim_start": np.empty(num_nodes, dtype=np.intp),
+            "prim_count": np.empty(num_nodes, dtype=np.intp),
+            "prim_indices": np.empty(n, dtype=np.intp),
+        }
+        stats = np.zeros(2, dtype=np.int64)
+        written = self.lib.repro_kdtree_build(
+            self._f64(centroids),
+            self._f64(prim_lower),
+            self._f64(prim_upper),
+            n,
+            int(leaf_size),
+            int(num_nodes),
+            self._i64w(arrays["prim_indices"]),
+            self._f64w(arrays["node_lower"]),
+            self._f64w(arrays["node_upper"]),
+            self._i64w(arrays["left"]),
+            self._i64w(arrays["right"]),
+            self._i64w(arrays["prim_start"]),
+            self._i64w(arrays["prim_count"]),
+            self._i64w(stats),
+        )
+        if written != num_nodes:
+            return None
+        return arrays, int(stats[0]), int(stats[1])
 
     # -- approx confirm --------------------------------------------------- #
     def confirm_pairs(

@@ -199,7 +199,7 @@ class LSHNeighborBackend(_HostNeighborBackend):
     def _hash(self, pts: np.ndarray, direction: np.ndarray, offset: float) -> np.ndarray:
         return np.floor((pts @ direction + offset) / self.width).astype(np.int64)
 
-    def _scan(self, qpts, self_query, collect):
+    def _scan(self, qpts, self_query, collect, indptr=None):
         if self.exhaustive:
             return _brute_scan(self, qpts, self_query, collect)
         r2 = self.radius * self.radius
@@ -323,7 +323,7 @@ class SampledNeighborBackend(_HostNeighborBackend):
     def sample_size(self) -> int:
         return int(self.sample.size)
 
-    def _scan(self, qpts, self_query, collect):
+    def _scan(self, qpts, self_query, collect, indptr=None):
         if self.sample_size == self.num_points:
             return _brute_scan(self, qpts, self_query, collect)
         nq = qpts.shape[0]

@@ -8,12 +8,16 @@ actually depends on: build an index over the dataset once, then answer
   (stage 2; see :mod:`repro.adjacency`),
 
 with the dataset's own points as the default queries and self pairs excluded
-(the paper's ``q != s`` filter).  Every backend produces the CSR
-**chunk-by-chunk** — a block of queries at a time — so the full ε-pair set is
-never materialised as an intermediate; peak memory is one block's candidate
-working set plus the adjacency itself.  The legacy ``neighbor_pairs()``
-surface survives as a thin expansion of the CSR for callers that still want
-flat pair arrays.
+(the paper's ``q != s`` filter).  ``neighbor_csr(row_counts=...)`` takes the
+per-row hit counts a caller already holds (stage 1's neighbour counts): the
+native kernels then size the CSR from them and traverse once instead of
+counting again, and every tier checks the hint against the traversal's own
+row lengths, raising ``ValueError`` at the first mismatching row.  Every
+backend produces the CSR **chunk-by-chunk** — a block of queries at a time —
+so the full ε-pair set is never materialised as an intermediate; peak memory
+is one block's candidate working set plus the adjacency itself.  The legacy
+``neighbor_pairs()`` surface survives as a thin expansion of the CSR for
+callers that still want flat pair arrays.
 
 The RT-core ray query of Algorithm 2
 (:class:`~repro.neighbors.rt_find.RTNeighborFinder`) is one implementation;
@@ -33,7 +37,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..adjacency import csr_row_ids, expand_ranges
+from ..adjacency import check_row_counts, csr_row_ids, expand_ranges, hinted_indptr
 from ..api.registry import register_backend
 from ..bvh.traversal import point_query_counts_early_exit, point_query_csr
 from ..geometry.transforms import ensure_points3d
@@ -71,7 +75,7 @@ class NeighborBackend(Protocol):
     ) -> tuple[np.ndarray, LaunchStats]: ...
 
     def neighbor_csr(
-        self, queries: np.ndarray | None = None
+        self, queries: np.ndarray | None = None, *, row_counts: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, LaunchStats]: ...
 
     def neighbor_pairs(
@@ -159,12 +163,16 @@ class _HostNeighborBackend:
         return ensure_points3d(queries, name="queries"), False
 
     def _scan(
-        self, qpts: np.ndarray, self_query: bool, collect: bool
+        self, qpts: np.ndarray, self_query: bool, collect: bool,
+        indptr: np.ndarray | None = None,
     ) -> tuple[np.ndarray, list[np.ndarray] | None, int, int]:
         """Blocked sweep: ``(row_counts, csr_parts, candidates, node_visits)``.
 
         ``csr_parts`` (only when ``collect``) are canonical per-block CSR
-        index fragments: rows in query order, indices ascending.
+        index fragments: rows in query order, indices ascending.  ``indptr``
+        (only when ``collect``) is a CSR sized from caller-held row counts: a
+        native sweep fills it in one pass, the others ignore it.  Either way
+        ``row_counts`` are the sweep's own.
         """
         raise NotImplementedError  # pragma: no cover - overridden
 
@@ -188,13 +196,22 @@ class _HostNeighborBackend:
         return row_counts, stats
 
     def neighbor_csr(
-        self, queries: np.ndarray | None = None
+        self, queries: np.ndarray | None = None, *, row_counts: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
-        """Confirmed ε-adjacency in canonical CSR form, built block-by-block."""
+        """Confirmed ε-adjacency in canonical CSR form, built block-by-block.
+
+        ``row_counts`` is an optional per-query hit-count hint (see the
+        module docstring); a hint that disagrees with the sweep raises
+        ``ValueError``.
+        """
         qpts, self_query = self._resolve_queries(queries)
-        row_counts, parts, candidates, node_visits = self._scan(qpts, self_query, collect=True)
+        hint_ptr = None if row_counts is None else hinted_indptr(row_counts, qpts.shape[0])
+        counts, parts, candidates, node_visits = self._scan(
+            qpts, self_query, collect=True, indptr=hint_ptr
+        )
+        check_row_counts(row_counts, counts)
         indptr = np.zeros(qpts.shape[0] + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=indptr[1:])
+        np.cumsum(counts, out=indptr[1:])
         indices = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
         stats = self._charge(
             num_rays=qpts.shape[0], candidates=candidates,
@@ -236,7 +253,7 @@ class BruteNeighborBackend(_HostNeighborBackend):
 
     chunk_size: int = 512
 
-    def _scan(self, qpts, self_query, collect):
+    def _scan(self, qpts, self_query, collect, indptr=None):
         nq = qpts.shape[0]
         row_counts = np.zeros(nq, dtype=np.int64)
         parts: list[np.ndarray] | None = [] if collect else None
@@ -292,42 +309,43 @@ class GridNeighborBackend(_HostNeighborBackend):
             )
         return self._soa
 
-    def _scan_native(self, qpts, self_query, collect):
+    def _scan_native(self, qpts, self_query, collect, indptr):
         """The stencil sweep on the native tier (or ``None`` to use numpy).
 
-        One C pass counts per-row hits (and the charged candidate total), a
-        second fills the pre-sized canonical CSR fragment — byte-identical to
-        the numpy block sweep below.
+        Without ``indptr``, one C pass counts per-row hits (and the charged
+        candidate total) and, when collecting, a second fills the pre-sized
+        canonical CSR fragment.  With it, the fill pass runs alone.  Either
+        way the result is byte-identical to the numpy block sweep below.
         """
         nk = native_dispatch.kernels()
         if nk is None:
             return None
         grid = self.grid
-        soa = self._grid_soa()
         qpts = np.ascontiguousarray(qpts)
-        row_counts = np.zeros(qpts.shape[0], dtype=np.int64)
-        candidates = nk.grid_scan(
-            qpts, soa, grid.order, grid.cell_table, grid.cell_indptr,
+        args = (
+            qpts, self._grid_soa(), grid.order, grid.cell_table, grid.cell_indptr,
             grid.origin, grid.cell_size, grid.dims,
-            self.radius * self.radius, self_query, row_counts=row_counts,
+            self.radius * self.radius, self_query,
+        )
+        row_counts = np.zeros(qpts.shape[0], dtype=np.int64)
+        if indptr is None:
+            candidates = nk.grid_scan(*args, row_counts=row_counts)
+            if candidates is None:
+                return None
+            if not collect:
+                return row_counts, None, candidates, 0
+            indptr = np.zeros(qpts.shape[0] + 1, dtype=np.int64)
+            np.cumsum(row_counts, out=indptr[1:])
+        indices = np.empty(int(indptr[-1]), dtype=np.intp)
+        candidates = nk.grid_scan(
+            *args, indptr=indptr, row_counts=row_counts, indices=indices
         )
         if candidates is None:
             return None
-        if not collect:
-            return row_counts, None, candidates, 0
-        indptr = np.zeros(qpts.shape[0] + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.intp)
-        nk.grid_scan(
-            qpts, soa, grid.order, grid.cell_table, grid.cell_indptr,
-            grid.origin, grid.cell_size, grid.dims,
-            self.radius * self.radius, self_query,
-            indptr=indptr, indices=indices,
-        )
         return row_counts, [indices], candidates, 0
 
-    def _scan(self, qpts, self_query, collect):
-        native = self._scan_native(qpts, self_query, collect)
+    def _scan(self, qpts, self_query, collect, indptr=None):
+        native = self._scan_native(qpts, self_query, collect, indptr)
         if native is not None:
             return native
         r2 = self.radius * self.radius
@@ -376,7 +394,7 @@ class KDTreeNeighborBackend(_HostNeighborBackend):
     leafsize: int = 16
 
     def _build(self) -> None:
-        from ..bvh.kdtree import build_kdtree
+        from ..bvh.kdtree import build_kdtree, build_kdtree_native
         from ..geometry.aabb import AABB
 
         # eps-sphere boxes around each point, ulp-padded outward exactly like
@@ -384,10 +402,10 @@ class KDTreeNeighborBackend(_HostNeighborBackend):
         # rounded d^2 <= r^2 confirm.
         r = self.radius
         pad = 4.0 * np.finfo(np.float64).eps * (np.abs(self.points) + r)
-        self.bvh = build_kdtree(
-            AABB(self.points - r - pad, self.points + r + pad),
-            leaf_size=self.leafsize,
-        )
+        bounds = AABB(self.points - r - pad, self.points + r + pad)
+        self.bvh = build_kdtree_native(bounds, leaf_size=self.leafsize)
+        if self.bvh is None:
+            self.bvh = build_kdtree(bounds, leaf_size=self.leafsize)
         self.build_seconds = self.device.cost_model.build_time_s(self.num_points, unit="sm")
         self._mem_label = f"kdtree_backend_{id(self)}"
         self.device.memory.allocate(self._mem_label, self.bvh.memory_bytes())
@@ -406,8 +424,12 @@ class KDTreeNeighborBackend(_HostNeighborBackend):
 
         return confirm
 
-    def _scan_native(self, qpts, self_query, collect):
-        """The KD sweep on the native DFS kernel (or ``None`` to use numpy)."""
+    def _scan_native(self, qpts, self_query, collect, indptr):
+        """The KD sweep on the native DFS kernel (or ``None`` to use numpy).
+
+        Count pass plus fill pass, or the fill pass alone when ``indptr`` is
+        given, exactly like the grid backend's native sweep.
+        """
         nk = native_dispatch.kernels()
         if nk is None:
             return None
@@ -415,34 +437,28 @@ class KDTreeNeighborBackend(_HostNeighborBackend):
         nq = qpts.shape[0]
         row_counts = np.zeros(nq, dtype=np.int64)
         stats_buf = np.zeros(5, dtype=np.int64)
-        kwargs = dict(exclude_self=self_query)
-        ok = nk.bvh_sphere(
-            qpts, qpts, self.bvh, self.points, self.radius * self.radius,
-            row_counts=row_counts, stats=stats_buf, **kwargs,
-        )
-        if not ok:
-            return None
-        candidates = int(stats_buf[2])
-        node_visits = int(stats_buf[0])
-        if not collect:
-            return row_counts, None, candidates, node_visits
-        indptr = np.zeros(nq + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=indptr[1:])
+        args = (qpts, qpts, self.bvh, self.points, self.radius * self.radius)
+        out = dict(exclude_self=self_query, row_counts=row_counts, stats=stats_buf)
+        if indptr is None:
+            if not nk.bvh_sphere(*args, **out):
+                return None
+            if not collect:
+                return row_counts, None, int(stats_buf[2]), int(stats_buf[0])
+            indptr = np.zeros(nq + 1, dtype=np.int64)
+            np.cumsum(row_counts, out=indptr[1:])
         indices = np.empty(int(indptr[-1]), dtype=np.intp)
-        nk.bvh_sphere(
-            qpts, qpts, self.bvh, self.points, self.radius * self.radius,
-            indptr=indptr, indices=indices, **kwargs,
-        )
-        return row_counts, [indices], candidates, node_visits
+        if not nk.bvh_sphere(*args, indptr=indptr, indices=indices, **out):
+            return None
+        return row_counts, [indices], int(stats_buf[2]), int(stats_buf[0])
 
-    def _scan(self, qpts, self_query, collect):
-        native = self._scan_native(qpts, self_query, collect)
+    def _scan(self, qpts, self_query, collect, indptr=None):
+        native = self._scan_native(qpts, self_query, collect, indptr)
         if native is not None:
             return native
         confirm = self._confirm(qpts, self_query)
         if not collect:
             counts, stats = point_query_counts_early_exit(self.bvh, qpts, confirm)
             return counts, None, stats.candidates, stats.node_visits
-        indptr, indices, stats = point_query_csr(self.bvh, qpts, confirm)
-        row_counts = np.diff(indptr).astype(np.int64)
+        csr_ptr, indices, stats = point_query_csr(self.bvh, qpts, confirm)
+        row_counts = np.diff(csr_ptr).astype(np.int64)
         return row_counts, [indices], stats.candidates, stats.node_visits

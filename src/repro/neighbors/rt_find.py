@@ -149,19 +149,24 @@ class RTNeighborFinder:
         )
 
     def neighbor_csr(
-        self, queries: np.ndarray | None = None
+        self, queries: np.ndarray | None = None, *, row_counts: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
         """Confirmed ε-adjacency in canonical CSR form (see :mod:`repro.adjacency`).
 
         The zero-materialisation stage-2 query: hits are confirmed inside the
         chunked traversal and come back as ``(indptr, indices)`` — the full
         candidate pair set never exists in memory.  Self pairs are excluded
-        when querying the dataset against itself.
+        when querying the dataset against itself.  ``row_counts`` optionally
+        passes each query's hit count from a prior :meth:`neighbor_counts`
+        over the same queries, so the native launch traverses once; a hint
+        that disagrees with the launch raises ``ValueError``.
         """
         if queries is None:
-            return self.group.launch_csr(self.points)
+            return self.group.launch_csr(self.points, row_counts=row_counts)
         pts = ensure_points3d(queries, name="queries")
-        return self.group.launch_csr(pts, programs=self._external_programs(pts))
+        return self.group.launch_csr(
+            pts, programs=self._external_programs(pts), row_counts=row_counts
+        )
 
     def neighbor_pairs(
         self, queries: np.ndarray | None = None

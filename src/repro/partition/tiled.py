@@ -125,7 +125,9 @@ def run_tile(job: TileJob) -> TileRunResult:
     against the local (owned + halo) index so that no halo point ever spends
     a ray.  External queries carry no self filter, so the self hit (distance
     zero) is removed here: one count per query, and the self row entries of
-    the shard CSR — exactly the paper's ``q != s`` index comparison.
+    the shard CSR — exactly the paper's ``q != s`` index comparison.  The
+    stage-1 counts (self hit included) are the stage-2 CSR row lengths, so
+    they size that CSR and stage 2 traverses once on the host.
     """
     device = RTDevice(
         cost_model=job.cost_model,
@@ -140,7 +142,9 @@ def run_tile(job: TileJob) -> TileRunResult:
         neighbor_counts = counts_with_self.astype(np.int64) - 1
         core_mask = neighbor_counts >= job.min_pts
 
-        indptr, ind_loc, stats2 = finder.neighbor_csr(owned_pts)
+        indptr, ind_loc, stats2 = finder.neighbor_csr(
+            owned_pts, row_counts=counts_with_self
+        )
         build_seconds = finder.build_seconds
         build_prims = finder.num_prims
     finally:

@@ -66,17 +66,20 @@ class OWLGroup:
             raise ValueError("no program group bound to this geometry type")
         return self.pipeline.launch_hit_queries(points, progs)
 
-    def launch_csr(self, points: np.ndarray, programs: ProgramGroup | None = None):
+    def launch_csr(self, points: np.ndarray, programs: ProgramGroup | None = None,
+                   *, row_counts: np.ndarray | None = None):
         """Launch ε-rays from ``points``; confirmed hits come back as CSR.
 
         The zero-materialisation counterpart of :meth:`launch_hits`: returns
         ``(indptr, indices, stats)`` with identical charged operation counts
         but without ever materialising the candidate pair arrays.
+        ``row_counts`` is the optional per-ray hit-count hint of
+        :meth:`ScenePipeline.launch_csr_queries`.
         """
         progs = programs or self.geom.geom_type.programs
         if progs is None:
             raise ValueError("no program group bound to this geometry type")
-        return self.pipeline.launch_csr_queries(points, progs)
+        return self.pipeline.launch_csr_queries(points, progs, row_counts=row_counts)
 
     def launch_counts(self, points: np.ndarray, programs: ProgramGroup | None = None,
                       *, min_count: int | None = None):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adjacency import pairs_to_csr
+from ..adjacency import check_row_counts, hinted_indptr, pairs_to_csr
 from ..bvh.lbvh import build_lbvh
 from ..bvh.node import BVH
 from ..bvh.refit import refit as refit_bvh
@@ -46,7 +46,10 @@ from .programs import ProgramGroup
 __all__ = ["ScenePipeline"]
 
 
-def _native_sphere_query(bvh, pts: np.ndarray, programs: ProgramGroup, collect: bool):
+def _native_sphere_query(
+    bvh, pts: np.ndarray, programs: ProgramGroup, collect: bool,
+    row_counts: np.ndarray | None = None,
+):
     """Run a sphere-program launch on the native tier, if possible.
 
     Engages only when the program group carries a ``native_sphere`` payload
@@ -55,6 +58,12 @@ def _native_sphere_query(bvh, pts: np.ndarray, programs: ProgramGroup, collect: 
     ``None`` to run the numpy traversal, else ``(row_counts, traversal)`` in
     counting mode or ``(indptr, indices, traversal)`` in CSR mode — all
     byte-identical to the numpy kernels, stats included.
+
+    A CSR launch is a count pass plus a fill pass.  Given ``row_counts`` (hit
+    counts the caller already holds), the CSR is sized from them and the
+    fill pass runs alone; its traversal counters are the ones returned, and
+    a hint that disagrees with the fill's own row lengths raises
+    ``ValueError``.
     """
     desc = programs.payload.get("native_sphere")
     if desc is None:
@@ -68,20 +77,35 @@ def _native_sphere_query(bvh, pts: np.ndarray, programs: ProgramGroup, collect: 
     if confirm_pts.shape[0] < qpts.shape[0]:
         return None
     nq = qpts.shape[0]
-    row_counts = np.zeros(nq, dtype=np.int64)
+    counts = np.zeros(nq, dtype=np.int64)
     stats_buf = np.zeros(5, dtype=np.int64)
-    kwargs = dict(
+    args = (qpts, confirm_pts, bvh, centers, desc["r2"])
+    out = dict(
         exclude_self=desc.get("exclude_self", False),
         self_map=desc.get("self_map"),
         active=desc.get("active"),
+        row_counts=counts,
+        stats=stats_buf,
     )
-    ok = nk.bvh_sphere(
-        qpts, confirm_pts, bvh, centers, desc["r2"],
-        row_counts=row_counts, stats=stats_buf, **kwargs,
-    )
-    if not ok:
+    if row_counts is None or not collect:
+        if not nk.bvh_sphere(*args, **out):
+            return None
+        if not collect:
+            return counts, _traversal_stats(nq, stats_buf)
+        indptr = np.zeros(nq + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+    else:
+        indptr = hinted_indptr(row_counts, nq)
+    indices = np.empty(int(indptr[-1]), dtype=np.intp)
+    if not nk.bvh_sphere(*args, indptr=indptr, indices=indices, **out):
         return None
-    traversal = TraversalStats(
+    check_row_counts(row_counts, counts)
+    return indptr, indices, _traversal_stats(nq, stats_buf)
+
+
+def _traversal_stats(nq: int, stats_buf: np.ndarray) -> TraversalStats:
+    """``TraversalStats`` from the native kernel's five counters."""
+    return TraversalStats(
         queries=nq,
         node_visits=int(stats_buf[0]),
         leaf_visits=int(stats_buf[1]),
@@ -89,16 +113,6 @@ def _native_sphere_query(bvh, pts: np.ndarray, programs: ProgramGroup, collect: 
         confirmed=int(stats_buf[3]),
         levels=int(stats_buf[4]),
     )
-    if not collect:
-        return row_counts, traversal
-    indptr = np.zeros(nq + 1, dtype=np.int64)
-    np.cumsum(row_counts, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.intp)
-    nk.bvh_sphere(
-        qpts, confirm_pts, bvh, centers, desc["r2"],
-        indptr=indptr, indices=indices, **kwargs,
-    )
-    return indptr, indices, traversal
 
 
 @dataclass
@@ -239,7 +253,11 @@ class ScenePipeline:
         return q_hit, p_hit, stats
 
     def launch_csr_queries(
-        self, points: np.ndarray, programs: ProgramGroup
+        self,
+        points: np.ndarray,
+        programs: ProgramGroup,
+        *,
+        row_counts: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
         """Launch one ε-ray per point and return confirmed hits as a CSR adjacency.
 
@@ -254,23 +272,31 @@ class ScenePipeline:
         Geometries that need per-hit AnyHit routing (triangle mode) or
         miss-program callbacks fall back to the materialising launch and
         convert, preserving those programs' once-per-launch semantics.
+
+        ``row_counts`` optionally gives each query's confirmed-hit count up
+        front (stage 1's neighbour counts).  The native sphere launch then
+        traverses once instead of counting and filling; every path checks
+        the hint against the launch's row lengths and raises ``ValueError``
+        at the first mismatch.  Charged counts are unchanged: one launch.
         """
         if self.is_triangle_mode or programs.anyhit is not None or programs.miss is not None:
             q_hit, p_hit, stats = self.launch_hit_queries(points, programs)
             indptr, indices = pairs_to_csr(
                 q_hit, p_hit, np.atleast_2d(np.asarray(points)).shape[0]
             )
+            check_row_counts(row_counts, np.diff(indptr))
             return indptr, indices, stats
 
         bvh = self._require_accel()
         pts = ensure_points3d(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-        native = _native_sphere_query(bvh, pts, programs, collect=True)
+        native = _native_sphere_query(bvh, pts, programs, collect=True, row_counts=row_counts)
         if native is not None:
             indptr, indices, traversal = native
         else:
             indptr, indices, traversal = point_query_csr(
                 bvh, pts, programs.intersection, chunk_size=self.chunk_size
             )
+            check_row_counts(row_counts, np.diff(indptr))
         stats = LaunchStats(num_rays=pts.shape[0], traversal=traversal)
         stats.intersection_calls = traversal.candidates
         stats.confirmed_hits = traversal.confirmed

@@ -60,3 +60,69 @@ class TestRefit:
         refit = fitted.refit(12)
         fresh = rt_dbscan(blobs, eps=0.4, min_pts=12)
         np.testing.assert_array_equal(refit.labels, fresh.labels)
+
+
+class TestRefitCountHint:
+    """refit hands the stored counts to the CSR launch as its row-count hint."""
+
+    @pytest.fixture
+    def hints(self, monkeypatch):
+        from repro.neighbors.backend import KDTreeNeighborBackend
+
+        seen = []
+        real = KDTreeNeighborBackend.neighbor_csr
+
+        def spy(self, queries=None, *, row_counts=None):
+            seen.append(row_counts)
+            return real(self, queries, row_counts=row_counts)
+
+        monkeypatch.setattr(KDTreeNeighborBackend, "neighbor_csr", spy)
+        return seen
+
+    @pytest.mark.parametrize("backend", ["rt", "grid", "kdtree", "brute"])
+    def test_exact_counts_are_the_hint(self, blobs, backend, hints):
+        fitted = RTDBSCAN(eps=0.4, min_pts=5, backend=backend).fit(blobs)
+        hints.clear()  # the kdtree fit's own stage 2 goes through the spy too
+        twice = fitted.refit(12).refit(3)
+        assert len(hints) == 2
+        assert all(h is fitted.neighbor_counts for h in hints)
+        fresh = rt_dbscan(blobs, eps=0.4, min_pts=3)
+        np.testing.assert_array_equal(twice.labels, fresh.labels)
+
+    def test_tiled_counts_are_the_hint(self, blobs, hints):
+        from repro.partition.tiled import TiledRTDBSCAN
+
+        fitted = TiledRTDBSCAN(eps=0.4, min_pts=5, tiles=4).fit(blobs)
+        refit = fitted.refit(8)
+        assert len(hints) == 1 and hints[0] is fitted.neighbor_counts
+        fresh = rt_dbscan(blobs, eps=0.4, min_pts=8)
+        np.testing.assert_array_equal(refit.labels, fresh.labels)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"triangle_mode": True},
+            {"backend": "sampled", "backend_kwargs": {"sample_rate": 0.5}},
+        ],
+        ids=["triangles", "sampled"],
+    )
+    def test_inexact_counts_are_not_a_hint(self, blobs, hints, kwargs):
+        # Tessellated spheres and sampled candidates both undercount some
+        # points, so their counts are not the exact CSR row lengths.
+        fitted = RTDBSCAN(eps=0.4, min_pts=5, **kwargs).fit(blobs)
+        exact = rt_dbscan(blobs, eps=0.4, min_pts=5).neighbor_counts
+        assert not np.array_equal(fitted.neighbor_counts, exact)
+        hints.clear()
+        refit = fitted.refit(3)
+        assert hints == [None]
+        np.testing.assert_array_equal(refit.core_mask, fitted.neighbor_counts >= 3)
+
+    def test_wrong_counts_raise(self, blobs):
+        import dataclasses
+
+        fitted = rt_dbscan(blobs, eps=0.4, min_pts=5)
+        counts = fitted.neighbor_counts.copy()
+        counts[7] += 1
+        tampered = dataclasses.replace(fitted, neighbor_counts=counts)
+        with pytest.raises(ValueError, match="at row 7:"):
+            tampered.refit(8)

@@ -202,9 +202,10 @@ class TestThreadResolution:
         assert status["requested_threads"] == 5
         assert status["resolved_threads"] >= 1
         assert set(status["kernels"]) == {
-            "grid_scan", "brute_block", "bvh_sphere", "confirm_pairs",
-            "uf_union_edges",
+            "grid_scan", "brute_block", "bvh_sphere", "kdtree_build",
+            "confirm_pairs", "uf_union_edges",
         }
+        assert status["kernels"]["kdtree_build"]["parallel"] is False
         if status["active"]:
             assert status["variant"] in ("omp", "serial")
             assert status["openmp"] is (status["variant"] == "omp")
