@@ -31,7 +31,7 @@ stages) for every substrate.
 For datasets that outgrow one device (or to use more host cores),
 :class:`~repro.partition.tiled.TiledRTDBSCAN` runs this same pipeline
 shard-locally over spatial tiles with ε-halo ghost regions and stitches the
-shards with the stage-2 :func:`~repro.dbscan.formation.form_clusters` pass —
+shards with the stage-2 :func:`~repro.dbscan.formation.form_clusters_csr` pass —
 labels stay bit-identical to this class's.
 """
 

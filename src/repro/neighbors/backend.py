@@ -15,9 +15,7 @@ counting again, and every tier checks the hint against the traversal's own
 row lengths, raising ``ValueError`` at the first mismatching row.  Every
 backend produces the CSR **chunk-by-chunk** — a block of queries at a time —
 so the full ε-pair set is never materialised as an intermediate; peak memory
-is one block's candidate working set plus the adjacency itself.  The legacy
-``neighbor_pairs()`` surface survives as a thin expansion of the CSR for
-callers that still want flat pair arrays.
+is one block's candidate working set plus the adjacency itself.
 
 The RT-core ray query of Algorithm 2
 (:class:`~repro.neighbors.rt_find.RTNeighborFinder`) is one implementation;
@@ -37,7 +35,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..adjacency import check_row_counts, csr_row_ids, expand_ranges, hinted_indptr
+from ..adjacency import check_row_counts, expand_ranges, hinted_indptr
 from ..api.registry import register_backend
 from ..bvh.traversal import point_query_counts_early_exit, point_query_csr
 from ..geometry.transforms import ensure_points3d
@@ -78,10 +76,6 @@ class NeighborBackend(Protocol):
         self, queries: np.ndarray | None = None, *, row_counts: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, LaunchStats]: ...
 
-    def neighbor_pairs(
-        self, queries: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, LaunchStats]: ...
-
     def release(self) -> None: ...
 
 
@@ -111,7 +105,7 @@ class _HostNeighborBackend:
     ``build_seconds`` and optionally a device-memory allocation) and
     ``_scan()`` — the blocked query sweep that yields per-row hit counts,
     optionally the CSR index fragments, and the charged candidate /
-    node-visit totals.  Counts, CSR and pair queries all derive from it.
+    node-visit totals.  Counts and CSR queries both derive from it.
     """
 
     points: np.ndarray
@@ -218,17 +212,6 @@ class _HostNeighborBackend:
             node_visits=node_visits, confirmed=int(indices.size),
         )
         return indptr, indices, stats
-
-    def neighbor_pairs(
-        self, queries: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
-        """Legacy pair-array surface: the CSR expanded to flat ``(q, p)``.
-
-        Materialises the redundant query column; pipelines should consume
-        :meth:`neighbor_csr` directly.
-        """
-        indptr, indices, stats = self.neighbor_csr(queries)
-        return csr_row_ids(indptr), indices, stats
 
     def release(self) -> None:
         """Free the simulated device-side index."""

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adjacency import csr_row_ids
 from ..api.registry import register_backend
 from ..geometry.transforms import ensure_points3d
 from ..rtcore.counters import LaunchStats
@@ -167,18 +166,6 @@ class RTNeighborFinder:
         return self.group.launch_csr(
             pts, programs=self._external_programs(pts), row_counts=row_counts
         )
-
-    def neighbor_pairs(
-        self, queries: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
-        """All confirmed ``(query, neighbour)`` pairs within ε (legacy surface).
-
-        Self pairs are excluded when querying the dataset against itself.
-        Materialises the redundant query column; pipelines should consume
-        :meth:`neighbor_csr` directly.
-        """
-        indptr, indices, stats = self.neighbor_csr(queries)
-        return csr_row_ids(indptr), indices, stats
 
     def neighbor_lists(self, queries: np.ndarray | None = None) -> list[np.ndarray]:
         """Per-query neighbour index lists (convenience wrapper for examples)."""

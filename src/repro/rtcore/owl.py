@@ -17,7 +17,6 @@ import numpy as np
 
 from ..geometry.sphere import SphereGeometry
 from ..geometry.triangle import TriangleGeometry, tessellate_spheres
-from .counters import LaunchStats
 from .device import RTDevice
 from .pipeline import ScenePipeline
 from .programs import ProgramGroup, sphere_intersection_program
@@ -59,22 +58,13 @@ class OWLGroup:
     pipeline: ScenePipeline
     build_seconds: float = 0.0
 
-    def launch_hits(self, points: np.ndarray, programs: ProgramGroup | None = None):
-        """Launch ε-rays from ``points`` and return confirmed hit pairs."""
-        progs = programs or self.geom.geom_type.programs
-        if progs is None:
-            raise ValueError("no program group bound to this geometry type")
-        return self.pipeline.launch_hit_queries(points, progs)
-
     def launch_csr(self, points: np.ndarray, programs: ProgramGroup | None = None,
                    *, row_counts: np.ndarray | None = None):
         """Launch ε-rays from ``points``; confirmed hits come back as CSR.
 
-        The zero-materialisation counterpart of :meth:`launch_hits`: returns
-        ``(indptr, indices, stats)`` with identical charged operation counts
-        but without ever materialising the candidate pair arrays.
-        ``row_counts`` is the optional per-ray hit-count hint of
-        :meth:`ScenePipeline.launch_csr_queries`.
+        Returns ``(indptr, indices, stats)`` without ever materialising the
+        candidate pair arrays.  ``row_counts`` is the optional per-ray
+        hit-count hint of :meth:`ScenePipeline.launch_csr_queries`.
         """
         progs = programs or self.geom.geom_type.programs
         if progs is None:
@@ -87,7 +77,7 @@ class OWLGroup:
         progs = programs or self.geom.geom_type.programs
         if progs is None:
             raise ValueError("no program group bound to this geometry type")
-        return self.pipeline.launch_counts_with(points, progs, min_count)
+        return self.pipeline.launch_count_queries(points, progs, min_count=min_count)
 
     def refit_accel(self) -> float:
         """Refit the acceleration structure to the geometry's current bounds.
@@ -100,15 +90,6 @@ class OWLGroup:
 
     def release(self) -> None:
         self.pipeline.release()
-
-
-# ``launch_counts_with`` is a tiny adapter so OWLGroup keeps a stable surface
-# even if the pipeline signature evolves.
-def _launch_counts_with(self: ScenePipeline, points, programs, min_count):
-    return self.launch_count_queries(points, programs, min_count=min_count)
-
-
-ScenePipeline.launch_counts_with = _launch_counts_with  # type: ignore[attr-defined]
 
 
 @dataclass

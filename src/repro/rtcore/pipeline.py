@@ -9,8 +9,9 @@ The pipeline mirrors the structure of Fig. 2 in the paper:
     build cost;
 3.  ``launch_*`` generates one query ray per input point, traverses the BVH
     in "hardware" (the vectorised frontier kernels of :mod:`repro.bvh`), and
-    invokes the user's Intersection program once per candidate primitive and
-    the optional AnyHit program once per confirmed hit.
+    invokes the user's Intersection program once per candidate primitive —
+    plus, in triangle mode, the built-in AnyHit program once per confirmed
+    triangle hit.
 
 Every launch returns a :class:`LaunchStats` record with the operation counts
 and the simulated device time, which the DBSCAN implementations aggregate
@@ -23,17 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..adjacency import check_row_counts, hinted_indptr, pairs_to_csr
+from ..adjacency import check_row_counts, csr_row_ids, hinted_indptr
 from ..bvh.lbvh import build_lbvh
 from ..bvh.node import BVH
 from ..bvh.refit import refit as refit_bvh
 from ..bvh.sah import build_sah
 from ..bvh.traversal import (
+    TraversalStats,
     point_query_counts_early_exit,
     point_query_csr,
-    point_query_pairs,
 )
-from ..bvh.traversal import TraversalStats
 from ..geometry.sphere import SphereGeometry
 from ..geometry.transforms import ensure_points3d
 from ..geometry.triangle import TriangleGeometry
@@ -196,62 +196,30 @@ class ScenePipeline:
             raise RuntimeError("build_accel() must be called before launching rays")
         return self.bvh
 
-    def _charge_launch(self, stats: LaunchStats) -> None:
+    def _charge_launch(self, num_rays: int, traversal: TraversalStats,
+                       confirmed_hits: int) -> LaunchStats:
+        """Charge one launch to the device and return its statistics.
+
+        Every traversal candidate runs the Intersection program; in triangle
+        mode every confirmed triangle hit also runs the built-in AnyHit.
+        """
+        stats = LaunchStats(num_rays=num_rays, traversal=traversal)
+        stats.intersection_calls = traversal.candidates
+        if self.is_triangle_mode:
+            stats.anyhit_calls = traversal.confirmed
+        stats.confirmed_hits = confirmed_hits
         counts = OpCounts(kernel_launches=1)
         if self.device.has_rt_cores:
-            counts.rt_node_visits = stats.traversal.node_visits
+            counts.rt_node_visits = traversal.node_visits
         else:
-            counts.sm_node_visits = stats.traversal.node_visits
+            counts.sm_node_visits = traversal.node_visits
         counts.intersection_calls = stats.intersection_calls
         counts.anyhit_calls = stats.anyhit_calls
         stats.counts = counts
         stats.simulated_seconds = self.device.charge(counts)
+        return stats
 
     # ------------------------------------------------------------------ #
-    def launch_hit_queries(
-        self, points: np.ndarray, programs: ProgramGroup
-    ) -> tuple[np.ndarray, np.ndarray, LaunchStats]:
-        """Launch one ε-ray per point and return all confirmed hits.
-
-        Returns ``(query_idx, prim_idx, stats)`` where each pair is a
-        confirmed intersection (the Intersection program returned True).
-        When the geometry is a triangle tessellation, ``prim_idx`` is mapped
-        back to the owning data-point index and duplicate (query, owner)
-        pairs are collapsed, matching what the AnyHit-based implementation in
-        the paper would record.
-        """
-        bvh = self._require_accel()
-        pts = ensure_points3d(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-        q_idx, p_idx, traversal = point_query_pairs(bvh, pts, chunk_size=self.chunk_size)
-
-        stats = LaunchStats(num_rays=pts.shape[0], traversal=traversal)
-        stats.intersection_calls = int(p_idx.size)
-        if p_idx.size:
-            hit = np.asarray(programs.intersection(q_idx, p_idx), dtype=bool)
-        else:
-            hit = np.zeros(0, dtype=bool)
-        q_hit, p_hit = q_idx[hit], p_idx[hit]
-
-        if self.is_triangle_mode:
-            # Triangle hits must be routed through AnyHit to be recorded and
-            # mapped back to the tessellated sphere's owner point.
-            stats.anyhit_calls = int(q_hit.size)
-            owners = self.geometry.owners[p_hit]
-            keys = q_hit.astype(np.int64) * np.int64(self.num_owner_points()) + owners
-            _, first = np.unique(keys, return_index=True)
-            q_hit, p_hit = q_hit[first], owners[first]
-        elif programs.anyhit is not None:
-            stats.anyhit_calls = int(q_hit.size)
-            programs.anyhit(q_hit, p_hit)
-
-        if programs.miss is not None:
-            missed = np.setdiff1d(np.arange(pts.shape[0]), q_hit, assume_unique=False)
-            programs.miss(missed)
-
-        stats.confirmed_hits = int(q_hit.size)
-        self._charge_launch(stats)
-        return q_hit, p_hit, stats
-
     def launch_csr_queries(
         self,
         points: np.ndarray,
@@ -265,13 +233,13 @@ class ScenePipeline:
         the Intersection program chunk-by-chunk inside the traversal and the
         confirmed neighbour lists come back in canonical CSR form
         (``indptr``, ``indices``) — the full candidate pair set never exists
-        in memory.  The charged operation counts are identical to a
-        :meth:`launch_hit_queries` call over the same points (the traversal,
-        candidate set and confirmed set are the same).
+        in memory.
 
-        Geometries that need per-hit AnyHit routing (triangle mode) or
-        miss-program callbacks fall back to the materialising launch and
-        convert, preserving those programs' once-per-launch semantics.
+        In triangle mode every confirmed triangle hit runs the built-in
+        AnyHit program, which maps the triangle to the data point owning it
+        (one AnyHit call charged per hit); each row's owners are then
+        de-duplicated, so the adjacency is the canonical point CSR a sphere
+        launch returns.
 
         ``row_counts`` optionally gives each query's confirmed-hit count up
         front (stage 1's neighbour counts).  The native sphere launch then
@@ -279,29 +247,37 @@ class ScenePipeline:
         the hint against the launch's row lengths and raises ``ValueError``
         at the first mismatch.  Charged counts are unchanged: one launch.
         """
-        if self.is_triangle_mode or programs.anyhit is not None or programs.miss is not None:
-            q_hit, p_hit, stats = self.launch_hit_queries(points, programs)
-            indptr, indices = pairs_to_csr(
-                q_hit, p_hit, np.atleast_2d(np.asarray(points)).shape[0]
-            )
-            check_row_counts(row_counts, np.diff(indptr))
-            return indptr, indices, stats
-
         bvh = self._require_accel()
         pts = ensure_points3d(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-        native = _native_sphere_query(bvh, pts, programs, collect=True, row_counts=row_counts)
+        native = None
+        if not self.is_triangle_mode:
+            native = _native_sphere_query(
+                bvh, pts, programs, collect=True, row_counts=row_counts
+            )
         if native is not None:
             indptr, indices, traversal = native
         else:
             indptr, indices, traversal = point_query_csr(
                 bvh, pts, programs.intersection, chunk_size=self.chunk_size
             )
+            if self.is_triangle_mode:
+                indptr, indices = self._owner_csr(indptr, indices)
             check_row_counts(row_counts, np.diff(indptr))
-        stats = LaunchStats(num_rays=pts.shape[0], traversal=traversal)
-        stats.intersection_calls = traversal.candidates
-        stats.confirmed_hits = traversal.confirmed
-        self._charge_launch(stats)
+        stats = self._charge_launch(pts.shape[0], traversal, int(indices.size))
         return indptr, indices, stats
+
+    def _owner_csr(
+        self, indptr: np.ndarray, indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Map a triangle-hit CSR to owner points, one entry per (row, owner)."""
+        num_rows = indptr.shape[0] - 1
+        num_owners = np.int64(self.num_owner_points())
+        keys = csr_row_ids(indptr) * num_owners
+        keys += self.geometry.owners[indices]
+        keys = np.unique(keys)
+        out = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // num_owners, minlength=num_rows), out=out[1:])
+        return out, (keys % num_owners).astype(np.intp)
 
     def launch_count_queries(
         self,
@@ -320,44 +296,17 @@ class ScenePipeline:
         bvh = self._require_accel()
         pts = ensure_points3d(np.atleast_2d(np.asarray(points, dtype=np.float64)))
 
-        if (
-            min_count is None
-            and not self.is_triangle_mode
-            and programs.anyhit is None
-        ):
+        native = None
+        if min_count is None and not self.is_triangle_mode:
             native = _native_sphere_query(bvh, pts, programs, collect=False)
-            if native is not None:
-                counts, traversal = native
-                stats = LaunchStats(num_rays=pts.shape[0], traversal=traversal)
-                stats.intersection_calls = traversal.candidates
-                stats.confirmed_hits = traversal.confirmed
-                self._charge_launch(stats)
-                return counts, stats
-
-        stats = LaunchStats(num_rays=pts.shape[0])
-        anyhit_tally = {"calls": 0}
-
-        def confirm(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-            hit = np.asarray(programs.intersection(q, p), dtype=bool)
-            if self.is_triangle_mode or programs.anyhit is not None:
-                anyhit_tally["calls"] += int(hit.sum())
-            return hit
-
-        counts, traversal = point_query_counts_early_exit(
-            bvh, pts, confirm, min_count=min_count, chunk_size=self.chunk_size
-        )
-        stats.traversal = traversal
-        stats.intersection_calls = traversal.candidates
-        stats.anyhit_calls = anyhit_tally["calls"]
-        stats.confirmed_hits = traversal.confirmed
-        self._charge_launch(stats)
-
-        if self.is_triangle_mode:
-            # Counting triangle hits over-counts neighbours (a sphere is hit
-            # through many triangles); the triangle-mode DBSCAN path uses
-            # launch_hit_queries instead, so counts here are informational.
-            pass
-        return counts, stats
+        if native is not None:
+            counts, traversal = native
+        else:
+            counts, traversal = point_query_counts_early_exit(
+                bvh, pts, programs.intersection, min_count=min_count,
+                chunk_size=self.chunk_size,
+            )
+        return counts, self._charge_launch(pts.shape[0], traversal, traversal.confirmed)
 
     # ------------------------------------------------------------------ #
     def num_owner_points(self) -> int:

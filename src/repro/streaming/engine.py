@@ -418,9 +418,10 @@ class StreamingRTDBSCAN(ClustererMixin):
         new_q = new_p = np.empty(0, dtype=np.intp)
         with timer.phase("core_update") as counts:
             if k:
-                new_q, new_p, stats = self.scene.query_pairs(new_slots)
+                new_ptr, new_p, stats = self.scene.query_csr(new_slots)
                 counts.merge(stats.counts)
-                promoted = self._apply_count_deltas(new_slots, new_q, new_p)
+                new_q = np.repeat(new_slots, np.diff(new_ptr))
+                promoted = self._apply_count_deltas(new_slots, new_ptr, new_p)
 
         # ------------------------------------------------------------ #
         # Stage 2: monotone merge, or full re-cluster after a core loss.
@@ -430,11 +431,9 @@ class StreamingRTDBSCAN(ClustererMixin):
                 self._forest = ParallelDisjointSet(self.scene.capacity)
                 self._anchor[:] = -1
                 core_slots = np.flatnonzero(self._core & (self._arrival >= 0))
-                q, p, stats = self.scene.query_pairs(core_slots)
-                counts.merge(stats.counts)
+                q, p = self._edges(core_slots, counts)
             elif promoted.size:
-                pq, pp, stats = self.scene.query_pairs(promoted)
-                counts.merge(stats.counts)
+                pq, pp = self._edges(promoted, counts)
                 q = np.concatenate([new_q, pq])
                 p = np.concatenate([new_p, pp])
             else:
@@ -485,7 +484,7 @@ class StreamingRTDBSCAN(ClustererMixin):
         cluster structure of the survivors; border and noise evictions just
         decrement cached counts.
         """
-        q, p, stats = self.scene.query_pairs(evict_slots)
+        _, p, stats = self.scene.query_csr(evict_slots)
         counts.merge(stats.counts)
 
         evicted_core = bool(self._core[evict_slots].any())
@@ -508,19 +507,24 @@ class StreamingRTDBSCAN(ClustererMixin):
         self._forest.parent[evict_slots] = evict_slots
         return evicted_core or bool(demoted.size)
 
+    def _edges(self, slots: np.ndarray, counts: OpCounts) -> tuple[np.ndarray, np.ndarray]:
+        """ε-rays from ``slots`` as ``(query_slot, hit_slot)`` pairs; charges the launch."""
+        indptr, indices, stats = self.scene.query_csr(slots)
+        counts.merge(stats.counts)
+        return np.repeat(slots, np.diff(indptr)), indices
+
     def _apply_count_deltas(
-        self, new_slots: np.ndarray, q: np.ndarray, p: np.ndarray
+        self, new_slots: np.ndarray, indptr: np.ndarray, p: np.ndarray
     ) -> np.ndarray:
-        """Fold the new points' ray hits into the cached neighbour counts.
+        """Fold the new points' ray hits (CSR rows) into the cached neighbour counts.
 
         Returns the *promoted* slots: existing points pushed over the
         ``min_pts`` threshold by the arrivals.
         """
-        cap = self.scene.capacity
-        new_mask = np.zeros(cap, dtype=bool)
+        new_mask = np.zeros(self.scene.capacity, dtype=bool)
         new_mask[new_slots] = True
         # Each new point's count is exactly its own ray's confirmed hits.
-        self._counts[new_slots] = np.bincount(q, minlength=cap)[new_slots]
+        self._counts[new_slots] = np.diff(indptr)
         # Every hit onto an existing point adds one neighbour there.
         inc = p[~new_mask[p]]
         np.add.at(self._counts, inc, 1)

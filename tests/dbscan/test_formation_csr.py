@@ -1,4 +1,4 @@
-"""form_clusters_csr: CSR-consuming stage 2 is bit-identical to the pair path."""
+"""form_clusters_csr: CSR-consuming stage 2 is bit-identical to a pair-array oracle."""
 
 from __future__ import annotations
 
@@ -8,7 +8,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adjacency import pairs_to_csr
-from repro.dbscan.formation import form_clusters, form_clusters_csr
+from repro.api.registry import make_backend
+from repro.bench.experiments import calibrate_eps
+from repro.data.registry import generate
+from repro.data.synthetic import make_blobs
+from repro.dbscan.formation import FormationResult, _finish, form_clusters_csr
+
+
+def _form_clusters_pairs(
+    q_hit: np.ndarray, p_hit: np.ndarray, core_mask: np.ndarray
+) -> FormationResult:
+    """Pair-array oracle: expand clusters from flat ``(q, p)`` pairs.
+
+    Selects the same union edges (core–core) and border attachments (core
+    query, non-core neighbour) as ``form_clusters_csr`` does row by row, from
+    the flat pair arrays, and hands them to the shared union/labelling tail.
+    """
+    core_mask = np.asarray(core_mask, dtype=bool)
+    q_hit = np.asarray(q_hit, dtype=np.intp)
+    p_hit = np.asarray(p_hit, dtype=np.intp)
+    from_core = core_mask[q_hit]
+    cq, cp = q_hit[from_core], p_hit[from_core]
+    both_core = core_mask[cp]
+    return _finish(
+        core_mask.shape[0], core_mask,
+        cq[both_core], cp[both_core], cp[~both_core], cq[~both_core],
+    )
 
 
 def _random_adjacency(rng: np.random.Generator, n: int, m: int):
@@ -32,7 +57,30 @@ class TestFormClustersCSR:
         core = rng.random(n) < min_core_fraction
         indptr, indices = pairs_to_csr(q, p, n)
 
-        ref = form_clusters(q, p, core)
+        ref = _form_clusters_pairs(q, p, core)
+        got = form_clusters_csr(indptr, indices, core)
+        np.testing.assert_array_equal(got.labels, ref.labels)
+        assert got.num_unions == ref.num_unions
+        assert got.num_atomics == ref.num_atomics
+
+    @pytest.mark.parametrize("data", ["blobs", "ngsim"])
+    @pytest.mark.parametrize("min_pts", [2, 5, 12])
+    def test_matches_pair_formation_on_backend_adjacency(self, data, min_pts):
+        if data == "blobs":
+            pts, _ = make_blobs(420, centers=4, std=0.25, seed=11)
+            eps = 0.3
+        else:
+            pts = generate("ngsim", 500, seed=29)
+            eps = calibrate_eps(pts, 10, 0.5)
+        backend = make_backend("kdtree", pts, eps)
+        try:
+            counts, _ = backend.neighbor_counts()
+            indptr, indices, _ = backend.neighbor_csr()
+        finally:
+            backend.release()
+        core = counts >= min_pts
+        q = np.repeat(np.arange(len(pts)), np.diff(indptr))
+        ref = _form_clusters_pairs(q, indices, core)
         got = form_clusters_csr(indptr, indices, core)
         np.testing.assert_array_equal(got.labels, ref.labels)
         assert got.num_unions == ref.num_unions
@@ -71,7 +119,7 @@ class TestFormClustersCSR:
         q, p = _random_adjacency(rng, n, m)
         core = rng.random(n) < threshold
         indptr, indices = pairs_to_csr(q, p, n)
-        ref = form_clusters(q, p, core)
+        ref = _form_clusters_pairs(q, p, core)
         got = form_clusters_csr(indptr, indices, core)
         np.testing.assert_array_equal(got.labels, ref.labels)
         assert got.num_unions == ref.num_unions

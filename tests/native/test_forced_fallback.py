@@ -88,6 +88,7 @@ print("OK")
         assert "OK" in proc.stdout
 
 
+@pytest.mark.skipif(not dispatch.available(), reason="native kernel tier unavailable")
 class TestNoOpenMPFallback:
     def test_serial_variant_builds_and_matches(self):
         """REPRO_NATIVE_NO_OPENMP=1 must select the serial C build — still the

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.adjacency import csr_row_ids
 from repro.neighbors.brute import (
     brute_force_neighbor_counts,
     brute_force_neighbors,
@@ -91,7 +92,8 @@ class TestRTNeighborFinder:
         pts = _points(100, seed=4)
         queries = _points(20, seed=5)
         finder = RTNeighborFinder(pts, 1.0)
-        qi, pi, _ = finder.neighbor_pairs(queries)
+        indptr, pi, _ = finder.neighbor_csr(queries)
+        qi = csr_row_ids(indptr)
         d2 = ((queries[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         exp_q, exp_p = np.nonzero(d2 <= 1.0)
         got = set(zip(qi.tolist(), pi.tolist()))

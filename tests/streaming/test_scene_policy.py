@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.adjacency import csr_row_ids
 from repro.bvh.refit import refit
 from repro.dbscan.disjoint_set import ParallelDisjointSet
 from repro.geometry.aabb import AABB
@@ -177,11 +178,12 @@ class TestStreamingScene:
         scene.commit(RefitPolicy())
         scene.deallocate(slots[1:2])
         scene.commit(RefitPolicy())
-        q, p, _ = scene.query_pairs(slots[[0, 2]])
+        indptr, indices, _ = scene.query_csr(slots[[0, 2]])
         # With the middle sphere parked the remaining points are 0.6 apart —
         # beyond eps=0.5 — so no pair may survive, least of all one
         # involving the parked slot.
-        assert q.size == 0 and p.size == 0
+        np.testing.assert_array_equal(indptr, [0, 0, 0])
+        assert indices.size == 0
 
     def test_query_excludes_self_and_matches_brute_force(self):
         rng = np.random.default_rng(7)
@@ -190,7 +192,8 @@ class TestStreamingScene:
         slots = scene.allocate(40)
         scene.set_points(slots, pts)
         scene.commit(RefitPolicy())
-        q, p, stats = scene.query_pairs(slots)
+        indptr, p, stats = scene.query_csr(slots)
+        q = slots[csr_row_ids(indptr)]
         got = set(zip(q.tolist(), p.tolist()))
         d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         expect = {
@@ -204,8 +207,9 @@ class TestStreamingScene:
 
     def test_empty_query_is_free(self):
         scene = self._scene()
-        q, p, stats = scene.query_pairs(np.empty(0, dtype=np.intp))
-        assert q.size == 0 and p.size == 0
+        indptr, indices, stats = scene.query_csr(np.empty(0, dtype=np.intp))
+        np.testing.assert_array_equal(indptr, [0])
+        assert indices.size == 0
         assert stats.counts.kernel_launches == 0
 
     def test_stale_traversal_accumulates_until_a_rebuild(self):
